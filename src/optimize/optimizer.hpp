@@ -69,19 +69,16 @@ struct OptOptions
 /**
  * Resumable optimizer execution (step machine). A run exposes the next
  * parameter point it needs evaluated; the driver computes f(pending())
- * however it likes — sequentially, or batched across several racing
- * runs — and feeds the value back through supply(), which advances the
+ * and feeds the value back through supply(), which advances the
  * internal state machine to the next point or to completion.
  *
  * The machine performs exactly the computation of the corresponding
  * sequential algorithm in exactly the same order (iterate updates,
  * random draws, trace pushes, checkpoint invocations at iteration
  * tops), so driving a run one value at a time is bit-identical to the
- * pre-machine minimize() loops — and a lockstep driver interleaving
- * several runs leaves each run's arithmetic untouched (tested
- * property). OptOptions::checkpoint fires inside supply() at iteration
- * boundaries and may throw; the run is then unusable except for
- * result()/halt().
+ * pre-machine minimize() loops (tested property).
+ * OptOptions::checkpoint fires inside supply() at iteration boundaries
+ * and may throw; the run is then unusable except for result().
  */
 class OptimizerRun
 {
@@ -97,14 +94,6 @@ class OptimizerRun
 
     /** Feed back f(pending()); advances to the next point or finishes. */
     virtual void supply(double value) = 0;
-
-    /**
-     * Stop early (racing-start elimination): finalizes result() from
-     * the incumbent state — best point seen so far, partial
-     * evaluation/iteration totals — and marks the run finished.
-     * Meaningful once at least one iteration completed.
-     */
-    virtual void halt() = 0;
 
     /** Accumulated result; final once finished(). */
     virtual const OptResult &result() const = 0;

@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
@@ -41,6 +41,29 @@ checkedInt(const Json &v, const char *key, long long lo, long long hi,
         CHOCOQ_FATAL("field '" << key << "' must be an integer in ["
                      << lo << ", " << hi << "], got " << raw);
     return static_cast<long long>(raw);
+}
+
+/**
+ * Full-width seed carried as a JSON string: 1-20 ASCII digits whose
+ * value fits in uint64_t. Signs, whitespace, exponents, trailing junk
+ * and overflow are rejected rather than truncated or wrapped, so a
+ * malformed seed can never silently alias another seed.
+ */
+std::uint64_t
+seedFromString(const std::string &text)
+{
+    bool ok = !text.empty() && text.size() <= 20;
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; ok && i < text.size(); ++i) {
+        const unsigned digit = static_cast<unsigned char>(text[i]) - '0';
+        ok = digit <= 9 && value <= (UINT64_MAX - digit) / 10;
+        value = value * 10 + digit;
+    }
+    if (!ok)
+        CHOCOQ_FATAL("field 'seed' as a string must be 1-20 decimal "
+                     "digits in [0, 18446744073709551615], got \""
+                     << text << "\"");
+    return value;
 }
 
 } // namespace
@@ -90,7 +113,7 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
     // (JSON numbers are doubles and would round).
     if (const Json *seed = v.find("seed")) {
         if (seed->kind() == Json::Kind::String)
-            job.seed = std::strtoull(seed->asString().c_str(), nullptr, 10);
+            job.seed = seedFromString(seed->asString());
         else
             job.seed = static_cast<std::uint64_t>(checkedInt(
                 v, "seed", 0, (1ll << 53),
@@ -104,8 +127,6 @@ jobFromJson(const Json &v, const spec::SpecLimits &limits)
         static_cast<int>(checkedInt(v, "iters", 0, 1 << 30, 0));
     job.keepStarts =
         static_cast<int>(checkedInt(v, "keep_starts", 0, 1 << 20, 0));
-    job.batchWidth =
-        static_cast<int>(checkedInt(v, "batch_width", 0, 1 << 12, 0));
     if (const Json *fusion = v.find("fusion")) {
         if (fusion->kind() != Json::Kind::Bool)
             CHOCOQ_FATAL("field 'fusion' must be a boolean");
@@ -165,7 +186,6 @@ jobToJsonRequest(const SolveJob &job)
     out.set("layers", job.layers);
     out.set("iters", job.maxIterations);
     out.set("keep_starts", job.keepStarts);
-    out.set("batch_width", job.batchWidth);
     out.set("fusion", job.fusion);
     out.set("deadline_ms", job.deadlineMs);
     out.set("trace", job.trace);

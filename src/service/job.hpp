@@ -67,17 +67,11 @@ struct SolveJob
     /** Optimizer iteration budget; 0 keeps the solver default. */
     int maxIterations = 0;
     /**
-     * Batched multi-start: number of starts that survive the screening
-     * sweep and receive a full optimizer run. 0 optimizes every start.
+     * Multi-start screening: number of starts that survive one
+     * evaluation each and receive a full optimizer run. 0 optimizes
+     * every start.
      */
     int keepStarts = 0;
-    /**
-     * SoA batch width (EngineOptions::batchWidth): lanes per batched
-     * evaluation sweep. 0 defers to the service default (auto). Results
-     * are bit-identical across widths (tested property); the value is
-     * hashed into the compile-cache key conservatively.
-     */
-    int batchWidth = 0;
     /**
      * Gate fusion (EngineOptions::fusion): fused layer application in
      * the variational loop. On by default; the off switch keeps the
@@ -173,11 +167,11 @@ struct SolveResult
 /**
  * Parse one JSONL request line. Recognized keys: id, solver, scale,
  * case, problem, problem_ref, seed, shots, device, layers, iters,
- * keep_starts, batch_width, fusion, deadline_ms.
- * Missing keys take the SolveJob defaults. Throws FatalError on
- * malformed JSON, an unknown scale/solver name, a problem spec that
- * fails validation or a resource guard in @p limits, or a request
- * mixing problem/problem_ref/scale.
+ * keep_starts, fusion, deadline_ms, trace. Missing keys take the
+ * SolveJob defaults; unknown keys are ignored. Throws FatalError on
+ * malformed JSON, an unknown scale/solver name, a malformed string
+ * seed, a problem spec that fails validation or a resource guard in
+ * @p limits, or a request mixing problem/problem_ref/scale.
  */
 SolveJob jobFromJson(const Json &v, const spec::SpecLimits &limits = {});
 

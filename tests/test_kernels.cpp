@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "core/commute.hpp"
-#include "sim/batched.hpp"
 #include "sim/naive.hpp"
 #include "sim/parallel.hpp"
 #include "sim/statevector.hpp"
@@ -342,129 +341,6 @@ TEST_P(Kernels, ExpectationAndPhaseTableMatchScalarLoop)
     expectSameState(sv.amplitudes(), psi);
 }
 
-// ------------------------------------------------ SoA batched kernels
-
-/** Load the same random lane states into a batch and a per-lane scalar
- * reference, then compare every lane byte for byte after @p apply runs
- * the batched kernel and @p scalar the scalar one. */
-template <class BatchOp, class ScalarOp>
-void
-expectBatchedBitwise(Rng &rng, int n, std::size_t width, BatchOp &&apply,
-                     ScalarOp &&scalar)
-{
-    sim::BatchedStateVector batch;
-    batch.resizeScratch(n, width);
-    std::vector<CVec> lanes(width);
-    for (std::size_t b = 0; b < width; ++b) {
-        lanes[b] = randomState(rng, n);
-        batch.loadLane(b, lanes[b]);
-    }
-    apply(batch);
-    StateVector sv(n);
-    CVec got;
-    for (std::size_t b = 0; b < width; ++b) {
-        loadState(sv, lanes[b]);
-        scalar(sv, b);
-        batch.copyLane(b, got);
-        ASSERT_EQ(0, std::memcmp(got.data(), sv.amplitudes().data(),
-                                 got.size() * sizeof(Cplx)))
-            << "lane " << b << " width " << width;
-    }
-}
-
-TEST_P(Kernels, BatchedKernelsOddWidthsMatchScalarBitwise)
-{
-    // Widths that divide neither the dimension nor any cache line keep
-    // the lane-stride index arithmetic honest.
-    Rng rng(61);
-    const int n = 6;
-    for (const std::size_t width : {std::size_t{3}, std::size_t{5}}) {
-        const auto [support, v] = randomSupport(rng, n, rng.intIn(1, n));
-        std::vector<double> beta(width), phi(width), gamma(width);
-        for (std::size_t b = 0; b < width; ++b) {
-            beta[b] = rng.uniform(-3.0, 3.0);
-            phi[b] = rng.uniform(-3.0, 3.0);
-            gamma[b] = rng.uniform(-3.0, 3.0);
-        }
-        std::vector<double> c(width), s(width);
-        for (std::size_t b = 0; b < width; ++b) {
-            c[b] = std::cos(beta[b]);
-            s[b] = std::sin(beta[b]);
-        }
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPairRotation(support, v, c.data(), s.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPairRotation(support, v, c[b], s[b]);
-            });
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPhaseMask(support, phi.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPhaseMask(support, phi[b]);
-            });
-        std::vector<double> table(std::size_t{1} << n);
-        for (auto &t : table)
-            t = rng.uniform(-2.0, 2.0);
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPhaseTable(table, gamma.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPhaseTable(table, gamma[b]);
-            });
-    }
-}
-
-TEST_P(Kernels, BatchedSupportWeightExtremesMatchScalarBitwise)
-{
-    // k = 0 (empty mask: the whole space is one subspace) and k = n
-    // (full mask: every subspace holds a single amplitude).
-    Rng rng(67);
-    const int n = 5;
-    const Basis full = (Basis{1} << n) - 1;
-    for (const std::size_t width : {std::size_t{3}, std::size_t{4}}) {
-        std::vector<double> phi(width), c(width), s(width);
-        for (std::size_t b = 0; b < width; ++b) {
-            phi[b] = rng.uniform(-3.0, 3.0);
-            c[b] = std::cos(phi[b]);
-            s[b] = std::sin(phi[b]);
-        }
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPhaseMask(0, phi.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPhaseMask(0, phi[b]);
-            });
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPhaseMask(full, phi.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPhaseMask(full, phi[b]);
-            });
-        // Full-support pair rotation: free mask 0, single-amplitude
-        // subspaces, one pair per enumerated run.
-        const Basis v = rng.intIn(0, static_cast<int>(full));
-        expectBatchedBitwise(
-            rng, n, width,
-            [&](sim::BatchedStateVector &batch) {
-                batch.applyPairRotation(full, v, c.data(), s.data());
-            },
-            [&](StateVector &sv, std::size_t b) {
-                sv.applyPairRotation(full, v, c[b], s[b]);
-            });
-    }
-}
-
 TEST_P(Kernels, CompressedExpectationBitwiseMatchesExpanded)
 {
     Rng rng(71);
@@ -483,23 +359,6 @@ TEST_P(Kernels, CompressedExpectationBitwiseMatchesExpanded)
     const double expanded = sv.expectationTable(table);
     const double compressed = sv.expectationTableCompressed(distinct, index);
     EXPECT_EQ(0, std::memcmp(&expanded, &compressed, sizeof(double)));
-
-    // Batched, width 3: every lane must reproduce the scalar bits.
-    const std::size_t width = 3;
-    sim::BatchedStateVector batch;
-    batch.resizeScratch(n, width);
-    std::vector<CVec> lanes(width);
-    for (std::size_t b = 0; b < width; ++b) {
-        lanes[b] = randomState(rng, n);
-        batch.loadLane(b, lanes[b]);
-    }
-    std::vector<double> got(width);
-    batch.expectationTableCompressed(distinct, index, got.data());
-    for (std::size_t b = 0; b < width; ++b) {
-        loadState(sv, lanes[b]);
-        const double want = sv.expectationTable(table);
-        ASSERT_EQ(0, std::memcmp(&got[b], &want, sizeof(double)));
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, Kernels, ::testing::Values(1, 2, 4),

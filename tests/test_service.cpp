@@ -3,8 +3,7 @@
  * Solve-service tests: the JSON codec, the compilation-cache key and
  * hit/miss behavior, scheduler determinism (identical (job, seed) pairs
  * must be bit-identical at any worker count and submission order), and
- * the batched multi-start screening's bitwise equivalence with the
- * sequential path.
+ * multi-start screening.
  */
 
 #include <gtest/gtest.h>
@@ -31,9 +30,6 @@
 #include "common/error.hpp"
 #include "core/chocoq_solver.hpp"
 #include "obs/roofline.hpp"
-#include "core/circuits.hpp"
-#include "core/commute.hpp"
-#include "core/qaoa.hpp"
 #include "problems/suite.hpp"
 #include "service/compile_cache.hpp"
 #include "service/fault.hpp"
@@ -128,6 +124,17 @@ TEST(JobModel, StringSeedCarriesFull64Bits)
     const auto job = service::jobFromJsonLine(
         R"({"scale":"F1","seed":"9007199254740993"})");
     EXPECT_EQ(job.seed, 9007199254740993ull);
+    // The full uint64 range, and leading zeros up to 20 digits.
+    EXPECT_EQ(service::jobFromJsonLine(
+                  R"({"scale":"F1","seed":"18446744073709551615"})")
+                  .seed,
+              18446744073709551615ull);
+    EXPECT_EQ(service::jobFromJsonLine(R"({"scale":"F1","seed":"0"})").seed,
+              0u);
+    EXPECT_EQ(service::jobFromJsonLine(
+                  R"({"scale":"F1","seed":"00000000000000000007"})")
+                  .seed,
+              7u);
 }
 
 TEST(JobModel, RejectsUnknownScaleAndSolver)
@@ -154,6 +161,42 @@ TEST(JobModel, RejectsOutOfRangeNumericFields)
     EXPECT_THROW(
         service::jobFromJsonLine(R"({"scale":"F1","deadline_ms":-1})"),
         FatalError);
+    // String seeds must be plain decimal digits that fit in uint64:
+    // no junk, sign, exponent or whitespace, no wrap, no saturation.
+    for (const char *seed :
+         {"abc", "12abc", "-1", "+1", "1e3", " 1", "1 ", "", "0x10",
+          "18446744073709551616", "99999999999999999999",
+          "100000000000000000000", "99999999999999999999999"}) {
+        const std::string line =
+            std::string(R"({"scale":"F1","seed":")") + seed + "\"}";
+        EXPECT_THROW(service::jobFromJsonLine(line), FatalError)
+            << "seed \"" << seed << "\"";
+    }
+}
+
+TEST(JobModel, RetiredBatchWidthFieldIsIgnored)
+{
+    // "batch_width" is no longer a wire field: like any unknown key it
+    // is ignored, so an old client that still sends it gets the same
+    // answer from the same compiled artifacts.
+    const auto with_width = service::jobFromJsonLine(
+        R"({"id":"bw","scale":"F1","case":0,"seed":5,"iters":15,)"
+        R"("batch_width":8})");
+    const auto without = service::jobFromJsonLine(
+        R"({"id":"plain","scale":"F1","case":0,"seed":5,"iters":15})");
+
+    service::ServiceOptions options;
+    options.workers = 1;
+    service::SolveService svc(options);
+    const auto results = svc.solveAll({with_width, without});
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(results[0].status, "ok") << results[0].error;
+    ASSERT_EQ(results[1].status, "ok") << results[1].error;
+    EXPECT_EQ(results[0].distHash, results[1].distHash);
+    EXPECT_EQ(0, std::memcmp(&results[0].bestCost, &results[1].bestCost,
+                             sizeof(double)));
+    EXPECT_EQ(svc.cacheStats().misses, 1u);
+    EXPECT_EQ(svc.cacheStats().hits, 1u);
 }
 
 TEST(Suite, ScaleByName)
@@ -491,88 +534,9 @@ TEST(SolveService, ResultJsonRoundTrip)
     EXPECT_EQ(v.getString("dist_hash", "").size(), 16u);
 }
 
-// -------------------------------------------- batched multi-start path
+// ------------------------------------------------ multi-start screening
 
-TEST(BatchedMultiStart, LockstepScreeningMatchesSequentialBitwise)
-{
-    // A subrun shaped like the Choco-Q fast path: phase table + commute
-    // layer per ansatz layer. `batched` also provides the lockstep batch
-    // evolution; `sequential` forces the screening sweep through the
-    // one-state fallback. Both must pick the same starts and produce
-    // bit-identical results.
-    const int n = 3;
-    auto table = std::make_shared<std::vector<double>>(
-        std::vector<double>{0.3, -1.2, 0.7, 2.1, -0.4, 1.9, -2.2, 0.05});
-    auto terms = std::make_shared<std::vector<core::CommuteTerm>>(
-        std::vector<core::CommuteTerm>{
-            core::makeCommuteTerm({1, -1, 0}),
-            core::makeCommuteTerm({0, 1, 1}),
-        });
-    const Basis x0 = 0b001;
-
-    core::SubRun sequential;
-    sequential.numQubits = n;
-    sequential.init = x0;
-    sequential.costTable = table;
-    sequential.build = [n, x0](const std::vector<double> &) {
-        circuit::Circuit c(n); // build path unused in this test
-        core::appendBasisPreparation(c, x0);
-        return c;
-    };
-    sequential.evolve = [x0, table, terms](sim::StateVector &state,
-                                           const std::vector<double> &theta) {
-        state.reset(x0);
-        for (std::size_t l = 0; l < theta.size() / 2; ++l) {
-            state.applyPhaseTable(*table, theta[2 * l]);
-            core::applyCommuteLayer(state, *terms, theta[2 * l + 1]);
-        }
-    };
-    sequential.lift = [](Basis x) { return x; };
-
-    core::SubRun batched = sequential;
-    batched.evolveBatch =
-        [x0, table, terms](
-            sim::BatchedStateVector &batch,
-            const std::vector<const std::vector<double> *> &thetas) {
-            batch.reset(x0);
-            const std::size_t lanes = batch.lanes();
-            std::vector<double> gammas(lanes), betas(lanes);
-            std::vector<double> cs_scratch;
-            for (std::size_t l = 0; l < thetas[0]->size() / 2; ++l) {
-                for (std::size_t b = 0; b < lanes; ++b) {
-                    gammas[b] = (*thetas[b])[2 * l];
-                    betas[b] = (*thetas[b])[2 * l + 1];
-                }
-                batch.applyPhaseTable(*table, gammas.data());
-                core::applyCommuteLayerBatched(batch, *terms, betas.data(),
-                                               cs_scratch);
-            }
-        };
-
-    core::EngineOptions opts;
-    opts.theta0 = {0.4, 0.7};
-    opts.extraStarts = {{0.8, 2.2}, {2.4, 1.2}, {1.2, 3.0}};
-    opts.multiStartKeep = 2;
-    opts.opt.maxIterations = 12;
-    const auto cost = [table](Basis x) { return (*table)[x]; };
-
-    const auto res_seq = core::runQaoa({sequential}, cost, opts);
-    const auto res_batch = core::runQaoa({batched}, cost, opts);
-
-    EXPECT_EQ(0, std::memcmp(&res_seq.opt.bestValue,
-                             &res_batch.opt.bestValue, sizeof(double)));
-    EXPECT_EQ(res_seq.opt.evaluations, res_batch.opt.evaluations);
-    ASSERT_EQ(res_seq.distribution.size(), res_batch.distribution.size());
-    for (auto it_s = res_seq.distribution.begin(),
-              it_b = res_batch.distribution.begin();
-         it_s != res_seq.distribution.end(); ++it_s, ++it_b) {
-        EXPECT_EQ(it_s->first, it_b->first);
-        EXPECT_EQ(0, std::memcmp(&it_s->second, &it_b->second,
-                                 sizeof(double)));
-    }
-}
-
-TEST(BatchedMultiStart, ScreeningPrunesOptimizerWork)
+TEST(MultiStart, ScreeningPrunesOptimizerWork)
 {
     // keepStarts = 1 must spend fewer objective evaluations than
     // optimizing all four default starts, and stay a valid solve.
@@ -678,6 +642,12 @@ TEST(RequestLine, ClassifiesSkipsJobsAndErrors)
     ASSERT_TRUE(ok.ok);
     EXPECT_EQ(ok.job.id, "job-7") << "empty id defaults per line";
     EXPECT_EQ(ok.job.seed, 3u);
+
+    const auto bad_seed =
+        service::parseRequestLine(R"({"scale":"F1","seed":"abc"})", 8);
+    ASSERT_FALSE(bad_seed.ok);
+    EXPECT_EQ(bad_seed.error.status, "error");
+    EXPECT_NE(bad_seed.error.error.find("'seed'"), std::string::npos);
 
     const auto bad = service::parseRequestLine("not json", 9);
     ASSERT_FALSE(bad.ok);

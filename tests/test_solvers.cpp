@@ -1,13 +1,16 @@
 /**
  * @file
- * Solver-level unit tests: the shared QAOA engine, the penalty baseline's
- * freezing/warm-start machinery, cyclic mixer construction, the Trotter
- * comparator, and the device/latency models.
+ * Solver-level unit tests: the shared QAOA engine (including the
+ * multi-start driver's checkpoint and cancellation contract), the
+ * penalty baseline's freezing/warm-start machinery, cyclic mixer
+ * construction, the Trotter comparator, and the device/latency models.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 #include "common/error.hpp"
 #include "core/chocoq_solver.hpp"
@@ -349,6 +352,149 @@ TEST(QaoaEngine, IndependentSubrunsOptimizeSeparately)
     // Both subruns can push all their mass onto full-space |1>.
     EXPECT_GT(res.distribution.at(1), 0.9);
 }
+
+namespace
+{
+
+/** A Choco-Q-shaped subrun on 4 qubits: phase table + commute layer per
+ * ansatz layer, evolved on the functional fast path. */
+core::SubRun
+layerSubRun()
+{
+    const int n = 4;
+    const Basis x0 = 0b0011;
+    auto table = std::make_shared<std::vector<double>>(std::vector<double>{
+        0.3, -1.2, 0.7, 2.1, -0.4, 1.9, -2.2, 0.05, 1.1, -0.6, 0.9, -1.7,
+        0.2, 1.4, -0.8, 0.6});
+    auto terms = std::make_shared<std::vector<core::CommuteTerm>>(
+        std::vector<core::CommuteTerm>{
+            core::makeCommuteTerm({1, -1, 0, 0}),
+            core::makeCommuteTerm({0, 1, -1, 0}),
+            core::makeCommuteTerm({0, 0, 1, -1}),
+            core::makeCommuteTerm({1, 0, 0, -1}),
+        });
+    core::SubRun run;
+    run.numQubits = n;
+    run.init = x0;
+    run.costTable = table;
+    run.build = [n, x0](const std::vector<double> &) {
+        circuit::Circuit c(n); // build path unused in these tests
+        core::appendBasisPreparation(c, x0);
+        return c;
+    };
+    run.evolve = [x0, table, terms](sim::StateVector &state,
+                                    const std::vector<double> &theta) {
+        state.reset(x0);
+        for (std::size_t l = 0; l < theta.size() / 2; ++l) {
+            state.applyPhaseTable(*table, theta[2 * l]);
+            core::applyCommuteLayer(state, *terms, theta[2 * l + 1]);
+        }
+    };
+    run.lift = [](Basis x) { return x; };
+    return run;
+}
+
+core::EngineOptions
+multiStartOptions(const std::string &optimizer)
+{
+    core::EngineOptions opts;
+    opts.optimizer = optimizer;
+    opts.theta0 = {0.4, 0.7, 1.1, 0.3};
+    opts.extraStarts = {{0.8, 2.2, 0.2, 1.4},
+                        {2.4, 1.2, 2.8, 0.6},
+                        {1.2, 3.0, 0.9, 2.1},
+                        {0.1, 0.5, 1.7, 2.9}};
+    opts.multiStartKeep = 3;
+    opts.opt.maxIterations = 15;
+    opts.seed = 99;
+    return opts;
+}
+
+void
+expectSameEngineResult(const core::EngineResult &a,
+                       const core::EngineResult &b)
+{
+    ASSERT_EQ(a.opt.best.size(), b.opt.best.size());
+    ASSERT_EQ(0, std::memcmp(a.opt.best.data(), b.opt.best.data(),
+                             a.opt.best.size() * sizeof(double)));
+    ASSERT_EQ(0, std::memcmp(&a.opt.bestValue, &b.opt.bestValue,
+                             sizeof(double)));
+    ASSERT_EQ(a.opt.evaluations, b.opt.evaluations);
+    ASSERT_EQ(a.opt.iterations, b.opt.iterations);
+    ASSERT_EQ(a.distribution.size(), b.distribution.size());
+    auto it_a = a.distribution.begin();
+    auto it_b = b.distribution.begin();
+    for (; it_a != a.distribution.end(); ++it_a, ++it_b) {
+        ASSERT_EQ(it_a->first, it_b->first);
+        ASSERT_EQ(0, std::memcmp(&it_a->second, &it_b->second,
+                                 sizeof(double)));
+    }
+}
+
+} // namespace
+
+class MultiStartEngine : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(MultiStartEngine, CheckpointNeverPerturbsResults)
+{
+    const core::SubRun run = layerSubRun();
+    const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
+
+    const core::EngineOptions plain = multiStartOptions(GetParam());
+    const auto reference = core::runQaoa({run}, cost, plain);
+
+    core::EngineOptions hooked = plain;
+    int calls = 0;
+    hooked.checkpoint = [&calls] { ++calls; };
+    expectSameEngineResult(reference, core::runQaoa({run}, cost, hooked));
+    EXPECT_GT(calls, 0);
+}
+
+TEST_P(MultiStartEngine, CancellationPropagates)
+{
+    const core::SubRun run = layerSubRun();
+    const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
+
+    // Count checkpoints on an unhooked run first, then cancel halfway:
+    // the throw must surface from inside the multi-start loop.
+    core::EngineOptions probe = multiStartOptions(GetParam());
+    int total = 0;
+    probe.checkpoint = [&total] { ++total; };
+    (void)core::runQaoa({run}, cost, probe);
+    ASSERT_GT(total, 2);
+
+    core::EngineOptions cancel = probe;
+    int calls = 0;
+    const int limit = total / 2;
+    cancel.checkpoint = [&calls, limit] {
+        if (++calls >= limit)
+            throw std::runtime_error("cancelled");
+    };
+    EXPECT_THROW((void)core::runQaoa({run}, cost, cancel),
+                 std::runtime_error);
+}
+
+TEST_P(MultiStartEngine, ExternalScratchMatchesLocal)
+{
+    // A worker's scratch state arrives with whatever dimension and
+    // contents its previous job left; results must not depend on it.
+    const core::SubRun run = layerSubRun();
+    const auto cost = [&run](Basis x) { return (*run.costTable)[x]; };
+    const core::EngineOptions local = multiStartOptions(GetParam());
+    const auto reference = core::runQaoa({run}, cost, local);
+
+    sim::StateVector scratch(7);
+    scratch.reset(5);
+    core::EngineOptions external = local;
+    external.scratch = &scratch;
+    expectSameEngineResult(reference, core::runQaoa({run}, cost, external));
+    expectSameEngineResult(reference, core::runQaoa({run}, cost, external));
+}
+
+INSTANTIATE_TEST_SUITE_P(Optimizers, MultiStartEngine,
+                         ::testing::Values("cobyla", "nelder-mead", "spsa"));
 
 TEST(Ablation, GenericSynthesisPaddingDeepensWithoutChangingResult)
 {

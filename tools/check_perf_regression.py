@@ -82,9 +82,12 @@ def merge_min(docs):
 
 
 def compare(current, baseline, threshold):
-    """Return (regressions, model_drifts, improvements, compared)."""
+    """Return (regressions, model_drifts, improvements, missing,
+    compared); missing lists baseline kernels absent from the current
+    run, which are therefore not compared."""
     cur = kernel_entries(current)
     base = kernel_entries(baseline)
+    missing = sorted(set(base) - set(cur))
     regressions = []
     model_drifts = []
     improvements = []
@@ -106,10 +109,11 @@ def compare(current, baseline, threshold):
                 cv, bv = float(c[key]), float(b[key])
                 if abs(cv - bv) > 1e-9 * max(1.0, abs(bv)):
                     model_drifts.append((name, key, bv, cv))
-    return regressions, model_drifts, improvements, compared
+    return regressions, model_drifts, improvements, missing, compared
 
 
-def report(tag, regressions, model_drifts, improvements, compared):
+def report(tag, regressions, model_drifts, improvements, missing,
+           compared):
     for name, base_ns, cur_ns, ratio in regressions:
         print(f"check_perf_regression: {tag} REGRESSION {name}: "
               f"{base_ns:.4f} -> {cur_ns:.4f} ns/amp "
@@ -122,9 +126,13 @@ def report(tag, regressions, model_drifts, improvements, compared):
         print(f"check_perf_regression: {tag} improvement {name}: "
               f"{base_ns:.4f} -> {cur_ns:.4f} ns/amp "
               f"({100.0 * (ratio - 1.0):+.1f}%)")
+    for name in missing:
+        print(f"check_perf_regression: {tag} not compared {name}: "
+              "in the baseline but missing from the current run")
     print(f"check_perf_regression: {tag} compared {compared} kernel(s), "
           f"{len(regressions)} regression(s), {len(model_drifts)} "
-          f"model drift(s), {len(improvements)} improvement(s)")
+          f"model drift(s), {len(improvements)} improvement(s), "
+          f"{len(missing)} baseline kernel(s) missing")
 
 
 def self_test(current, threshold):
@@ -142,7 +150,7 @@ def self_test(current, threshold):
     for entry in kernel_entries(rigged).values():
         entry["ns_per_amp"] = float(entry["ns_per_amp"]) \
             / (1.0 + 2.0 * threshold)
-    regressions, _, _, compared = compare(current, rigged, threshold)
+    regressions, _, _, _, compared = compare(current, rigged, threshold)
     if len(regressions) != compared or compared == 0:
         print(f"check_perf_regression: self-test FAILED — expected "
               f"{compared} injected regression(s), detected "
@@ -218,9 +226,9 @@ def main():
         tag = (f"[advisory: {fingerprint} vs "
                f"{os.path.splitext(candidates[0])[0]}]")
 
-    regressions, model_drifts, improvements, compared = compare(
+    regressions, model_drifts, improvements, missing, compared = compare(
         current, baseline, args.threshold)
-    report(tag, regressions, model_drifts, improvements, compared)
+    report(tag, regressions, model_drifts, improvements, missing, compared)
 
     if args.self_test:
         rc = self_test(current, args.threshold)
