@@ -133,23 +133,25 @@ lowTerm(int n, int k)
 
 // ---- generic gate kernels ----
 
+/** Generic 2x2 gate on qubit @p q of an n = range(0) register. */
 void
-BM_Apply1q(benchmark::State &state)
+apply1qBench(benchmark::State &state, int q)
 {
     const int n = static_cast<int>(state.range(0));
     sim::StateVector sv(n);
     obs::KernelCounterSink sink;
     sv.setCounterSink(&sink);
     for (auto _ : state) {
-        sv.apply1q(n / 2, kInvSqrt2, kInvSqrt2, kInvSqrt2, -kInvSqrt2);
+        sv.apply1q(q, kInvSqrt2, kInvSqrt2, kInvSqrt2, -kInvSqrt2);
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
     setRooflineCounters(state, std::int64_t{1} << n, sink);
 }
-BENCHMARK(BM_Apply1q)->Arg(10)->Arg(14)->Arg(18);
 
+/** diag(e^{-i 0.4}, e^{+i 0.4}) on qubit @p q of an n = range(0)
+ * register. */
 void
-BM_Diagonal1q(benchmark::State &state)
+diagonal1qBench(benchmark::State &state, int q)
 {
     const int n = static_cast<int>(state.range(0));
     sim::StateVector sv(n);
@@ -157,12 +159,40 @@ BM_Diagonal1q(benchmark::State &state)
     obs::KernelCounterSink sink;
     sv.setCounterSink(&sink);
     for (auto _ : state) {
-        sv.applyDiagonal1q(n / 2, em, std::conj(em));
+        sv.applyDiagonal1q(q, em, std::conj(em));
         benchmark::DoNotOptimize(sv.amplitudes().data());
     }
     setRooflineCounters(state, std::int64_t{1} << n, sink);
 }
+
+void
+BM_Apply1q(benchmark::State &state)
+{
+    apply1qBench(state, static_cast<int>(state.range(0)) / 2);
+}
+BENCHMARK(BM_Apply1q)->Arg(10)->Arg(14)->Arg(18);
+
+/** Target qubit 0: the adjacent-pair stream (subspace runs of length 1). */
+void
+BM_Apply1qQubit0(benchmark::State &state)
+{
+    apply1qBench(state, 0);
+}
+BENCHMARK(BM_Apply1qQubit0)->Arg(10)->Arg(14)->Arg(18);
+
+void
+BM_Diagonal1q(benchmark::State &state)
+{
+    diagonal1qBench(state, static_cast<int>(state.range(0)) / 2);
+}
 BENCHMARK(BM_Diagonal1q)->Arg(14)->Arg(18)->Arg(kKernelQubits);
+
+void
+BM_Diagonal1qQubit0(benchmark::State &state)
+{
+    diagonal1qBench(state, 0);
+}
+BENCHMARK(BM_Diagonal1qQubit0)->Arg(14)->Arg(18)->Arg(kKernelQubits);
 
 void
 BM_ParityPhase(benchmark::State &state)

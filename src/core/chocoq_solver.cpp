@@ -193,16 +193,9 @@ ChocoQSolver::solveCompiled(const model::Problem &p,
                         applyFusedLayer(state, *plan, *table, theta[2 * l],
                                         theta[2 * l + 1], *scratch);
                 };
-                if (plan->compressedPhase) {
-                    // Aliasing views into the plan: the compressed cost
-                    // table doubles as the expectation observable.
-                    run.costDistinct =
-                        std::shared_ptr<const std::vector<double>>(
-                            plan, &plan->distinctValues);
-                    run.costIndex =
-                        std::shared_ptr<const std::vector<std::uint16_t>>(
-                            plan, &plan->valueIndex);
-                }
+                // The compressed cost table doubles as the expectation
+                // observable.
+                useCompressedCost(run, plan);
             } else {
                 run.evolve = [x0, table,
                               terms](sim::StateVector &state,

@@ -119,6 +119,30 @@ applyFusedObjectivePhase(sim::StateVector &state, const FusedLayerPlan &plan,
 }
 
 void
+useCompressedCost(SubRun &run,
+                  const std::shared_ptr<const FusedLayerPlan> &plan)
+{
+    if (!plan->compressedPhase)
+        return;
+    run.costDistinct = std::shared_ptr<const std::vector<double>>(
+        plan, &plan->distinctValues);
+    run.costIndex = std::shared_ptr<const std::vector<std::uint16_t>>(
+        plan, &plan->valueIndex);
+}
+
+std::shared_ptr<const FusedLayerPlan>
+attachObjectivePlan(SubRun &run, bool fusion)
+{
+    CHOCOQ_ASSERT(run.costTable, "objective plan needs a cost table");
+    if (!fusion)
+        return std::make_shared<const FusedLayerPlan>();
+    auto plan = std::make_shared<const FusedLayerPlan>(
+        buildFusedLayerPlan(*run.costTable, {}));
+    useCompressedCost(run, plan);
+    return plan;
+}
+
+void
 applyFusedCommuteLayer(sim::StateVector &state, const FusedLayerPlan &plan,
                        double beta)
 {

@@ -33,9 +33,11 @@
 #define CHOCOQ_CORE_LAYER_FUSION_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/commute.hpp"
+#include "core/qaoa.hpp"
 #include "sim/statevector.hpp"
 
 namespace chocoq::core
@@ -88,6 +90,27 @@ void applyFusedObjectivePhase(sim::StateVector &state,
                               const std::vector<double> &cost_table,
                               double gamma,
                               std::vector<sim::Cplx> &phase_scratch);
+
+/**
+ * Point @p run's expectation at @p plan's value-compressed cost table
+ * (SubRun::costDistinct/costIndex, aliasing views that keep the plan
+ * alive). Leaves the run unchanged when the plan did not compress.
+ */
+void useCompressedCost(SubRun &run,
+                       const std::shared_ptr<const FusedLayerPlan> &plan);
+
+/**
+ * Objective-phase plan for a baseline sub-run (penalty, cyclic) whose
+ * layers apply exp(-i gamma H_o) from @p run.costTable: the diagonal
+ * half of buildFusedLayerPlan with no commute terms. With @p fusion
+ * the table is value-compressed and the run's expectation is pointed
+ * at the compressed form (SubRun::costDistinct/costIndex); without it
+ * the plan is empty, so applyFusedObjectivePhase takes the plain
+ * applyPhaseTable sweep and the expectation the expanded table. Both
+ * paths give the same bits.
+ */
+std::shared_ptr<const FusedLayerPlan> attachObjectivePlan(SubRun &run,
+                                                          bool fusion);
 
 /**
  * Fused commute layer prod_u exp(-i beta Hc(u)): one sincos for the

@@ -51,11 +51,8 @@ subrunCost(StateVector &scratch, const SubRun &run,
            const std::vector<double> &theta, bool fuse_gates)
 {
     evolveInto(scratch, run, theta, fuse_gates);
-    if (run.costDistinct && run.costIndex)
-        return scratch.expectationTableCompressed(*run.costDistinct,
-                                                  *run.costIndex);
-    if (run.costTable)
-        return scratch.expectationTable(*run.costTable);
+    if (run.costTable || (run.costDistinct && run.costIndex))
+        return tableExpectation(scratch, run);
     return scratch.expectationDiagonal(
         [&](Basis x) { return cost(run.lift(x)); });
 }
@@ -155,6 +152,16 @@ accumulateNoisy(std::map<Basis, double> &into, StateVector &scratch,
 }
 
 } // namespace
+
+double
+tableExpectation(const StateVector &state, const SubRun &run)
+{
+    if (run.costDistinct && run.costIndex)
+        return state.expectationTableCompressed(*run.costDistinct,
+                                                *run.costIndex);
+    CHOCOQ_ASSERT(run.costTable, "sub-run has no cost table");
+    return state.expectationTable(*run.costTable);
+}
 
 EngineResult
 runQaoa(const std::vector<SubRun> &subruns,

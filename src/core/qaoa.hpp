@@ -110,7 +110,8 @@ struct EngineOptions
      * Gate fusion. On the functional fast path the solver applies each
      * layer through its compile-time FusedLayerPlan (value-compressed
      * objective phase + grouped commute sweeps — bit-identical to the
-     * unfused kernels, see core/layer_fusion.hpp); on the circuit path
+     * unfused kernels, see core/layer_fusion.hpp; the penalty and cyclic
+     * baselines use the objective-phase half); on the circuit path
      * built circuits run through circuit::fuseDiagonals so adjacent
      * diagonal gates apply as one sweep (equivalent within fp
      * reassociation). Off switches every evaluation back to the
@@ -173,6 +174,13 @@ struct EngineResult
     /** Register width including transpiler ancillas. */
     int qubitsUsed = 0;
 };
+
+/**
+ * Expectation of @p run's precomputed cost on @p state: through the
+ * value-compressed table when costDistinct/costIndex are set, else
+ * through costTable (which must then be set). Both give the same bits.
+ */
+double tableExpectation(const sim::StateVector &state, const SubRun &run);
 
 /**
  * Run the variational loop.

@@ -49,6 +49,36 @@ phaseMask(CVec &amp, Basis mask, double phi)
             amp[i] *= phase;
 }
 
+/** General single-qubit gate, one pair per step with the index spread
+ * around bit q. */
+inline void
+apply1q(CVec &amp, int q, Cplx m00, Cplx m01, Cplx m10, Cplx m11)
+{
+    const std::size_t stride = std::size_t{1} << q;
+    for (std::size_t t = 0; t < amp.size() >> 1; ++t) {
+        const std::size_t low = t & (stride - 1);
+        const std::size_t i0 = ((t - low) << 1) | low;
+        const std::size_t i1 = i0 + stride;
+        const Cplx a0 = amp[i0];
+        const Cplx a1 = amp[i1];
+        amp[i0] = m00 * a0 + m01 * a1;
+        amp[i1] = m10 * a0 + m11 * a1;
+    }
+}
+
+/** Diagonal single-qubit gate diag(d0, d1), same pair walk as apply1q. */
+inline void
+diagonal1q(CVec &amp, int q, Cplx d0, Cplx d1)
+{
+    const std::size_t stride = std::size_t{1} << q;
+    for (std::size_t t = 0; t < amp.size() >> 1; ++t) {
+        const std::size_t low = t & (stride - 1);
+        const std::size_t i0 = ((t - low) << 1) | low;
+        amp[i0] *= d0;
+        amp[i0 + stride] *= d1;
+    }
+}
+
 /** Controlled single-qubit gate, filtered strided scan. */
 inline void
 controlled1q(CVec &amp, Basis control_mask, int q, Cplx m00, Cplx m01,

@@ -65,18 +65,36 @@ StateVector::apply1q(int q, Cplx m00, Cplx m01, Cplx m10, Cplx m11)
 {
     if (counters_)
         counters_->record(obs::KernelId::Apply1q, amp_.size());
-    const std::size_t stride = std::size_t{1} << q;
     Cplx *amp = amp_.data();
-    // Pair t -> (i0, i1): spread t's bits around position q.
-    parallelFor(amp_.size() >> 1, [=](std::size_t t) {
-        const std::size_t low = t & (stride - 1);
-        const std::size_t i0 = ((t - low) << 1) | low;
-        const std::size_t i1 = i0 + stride;
-        const Cplx a0 = amp[i0];
-        const Cplx a1 = amp[i1];
-        amp[i0] = m00 * a0 + m01 * a1;
-        amp[i1] = m10 * a0 + m11 * a1;
-    });
+    if (q == 0) {
+        // Runs have length 1 at q = 0; sweep the adjacent pairs
+        // (2t, 2t + 1) as one contiguous stream of pair ordinals t.
+        forEachSubspaceRun(
+            (amp_.size() >> 1) - 1, 0, [=](Basis base, std::size_t len) {
+                Cplx *__restrict p = amp + 2 * base;
+                for (std::size_t t = 0; t < len; ++t) {
+                    const Cplx a0 = p[2 * t];
+                    const Cplx a1 = p[2 * t + 1];
+                    p[2 * t] = m00 * a0 + m01 * a1;
+                    p[2 * t + 1] = m10 * a0 + m11 * a1;
+                }
+            });
+        return;
+    }
+    // Enumerate the target-0 runs; the target-1 partner run sits at a
+    // constant +stride offset, so both sides stream contiguously.
+    const Basis stride = Basis{1} << q;
+    forEachSubspaceRun(
+        freeMask(stride), 0, [=](Basis base, std::size_t len) {
+            Cplx *__restrict p0 = amp + base;
+            Cplx *__restrict p1 = amp + (base + stride);
+            for (std::size_t t = 0; t < len; ++t) {
+                const Cplx a0 = p0[t];
+                const Cplx a1 = p1[t];
+                p0[t] = m00 * a0 + m01 * a1;
+                p1[t] = m10 * a0 + m11 * a1;
+            }
+        });
 }
 
 void
@@ -84,14 +102,29 @@ StateVector::applyDiagonal1q(int q, Cplx d0, Cplx d1)
 {
     if (counters_)
         counters_->record(obs::KernelId::Diagonal1q, amp_.size());
-    const std::size_t stride = std::size_t{1} << q;
     Cplx *amp = amp_.data();
-    parallelFor(amp_.size() >> 1, [=](std::size_t t) {
-        const std::size_t low = t & (stride - 1);
-        const std::size_t i0 = ((t - low) << 1) | low;
-        amp[i0] *= d0;
-        amp[i0 + stride] *= d1;
-    });
+    if (q == 0) {
+        // Adjacent-pair stream, as in apply1q.
+        forEachSubspaceRun(
+            (amp_.size() >> 1) - 1, 0, [=](Basis base, std::size_t len) {
+                Cplx *__restrict p = amp + 2 * base;
+                for (std::size_t t = 0; t < len; ++t) {
+                    p[2 * t] *= d0;
+                    p[2 * t + 1] *= d1;
+                }
+            });
+        return;
+    }
+    const Basis stride = Basis{1} << q;
+    forEachSubspaceRun(
+        freeMask(stride), 0, [=](Basis base, std::size_t len) {
+            Cplx *__restrict p0 = amp + base;
+            Cplx *__restrict p1 = amp + (base + stride);
+            for (std::size_t t = 0; t < len; ++t) {
+                p0[t] *= d0;
+                p1[t] *= d1;
+            }
+        });
 }
 
 void

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/circuits.hpp"
+#include "core/layer_fusion.hpp"
 #include "model/exact.hpp"
 
 namespace chocoq::solvers
@@ -60,6 +61,8 @@ CyclicQaoaSolver::solve(const model::Problem &p) const
     run.numQubits = n;
     run.init = x0;
     run.costTable = phase_table;
+    const auto plan = core::attachObjectivePlan(run, opts_.engine.fusion);
+    auto phase_scratch = std::make_shared<std::vector<sim::Cplx>>();
     run.build = [n, x0, f, pairs](const std::vector<double> &theta) {
         circuit::Circuit c(n);
         core::appendBasisPreparation(c, x0);
@@ -71,12 +74,14 @@ CyclicQaoaSolver::solve(const model::Problem &p) const
         }
         return c;
     };
-    run.evolve = [x0, phase_table, pairs](sim::StateVector &state,
-                                          const std::vector<double> &theta) {
+    run.evolve = [x0, phase_table, pairs, plan,
+                  phase_scratch](sim::StateVector &state,
+                                 const std::vector<double> &theta) {
         state.reset(x0);
         const std::size_t layers = theta.size() / 2;
         for (std::size_t l = 0; l < layers; ++l) {
-            state.applyPhaseTable(*phase_table, theta[2 * l]);
+            core::applyFusedObjectivePhase(state, *plan, *phase_table,
+                                           theta[2 * l], *phase_scratch);
             for (const auto &[a, b] : *pairs)
                 state.applyXY(a, b, theta[2 * l + 1]);
         }

@@ -14,10 +14,9 @@ HeaSolver::HeaSolver(HeaOptions opts) : opts_(std::move(opts))
     CHOCOQ_ASSERT(opts_.layers >= 1, "HEA needs >= 1 entangler block");
 }
 
-core::SolverOutcome
-HeaSolver::solve(const model::Problem &p) const
+core::SubRun
+HeaSolver::ansatz(const model::Problem &p) const
 {
-    Timer compile_timer;
     const int n = p.numVars();
     const int layers = opts_.layers;
     const model::Polynomial penalty = p.penaltyPolynomial(opts_.lambda);
@@ -59,7 +58,7 @@ HeaSolver::solve(const model::Problem &p) const
                 state.apply1q(q, cy, -sy, sy, cy);
                 const sim::Cplx em{std::cos(rz / 2), -std::sin(rz / 2)};
                 const sim::Cplx ep{std::cos(rz / 2), std::sin(rz / 2)};
-                state.apply1q(q, em, 0, 0, ep);
+                state.applyDiagonal1q(q, em, ep);
             }
         };
         rot_layer(0);
@@ -70,6 +69,16 @@ HeaSolver::solve(const model::Problem &p) const
         }
     };
     run.lift = [](Basis x) { return x; };
+    return run;
+}
+
+core::SolverOutcome
+HeaSolver::solve(const model::Problem &p) const
+{
+    Timer compile_timer;
+    const int n = p.numVars();
+    const int layers = opts_.layers;
+    const core::SubRun run = ansatz(p);
     const double plan_seconds = compile_timer.seconds();
 
     core::EngineOptions engine = opts_.engine;

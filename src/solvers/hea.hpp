@@ -39,6 +39,11 @@ class HeaSolver : public core::Solver
 
     core::SolverOutcome solve(const model::Problem &p) const override;
 
+    /** The ansatz as the engine runs it: build(), the functional
+     * evolve() (unitarily equivalent, a tested property) and the
+     * penalty cost table. */
+    core::SubRun ansatz(const model::Problem &p) const;
+
   private:
     HeaOptions opts_;
 };

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/circuits.hpp"
+#include "core/layer_fusion.hpp"
 
 namespace chocoq::solvers
 {
@@ -85,6 +87,8 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
         run.numQubits = k;
         run.init = 0;
         run.costTable = table;
+        const auto plan = core::attachObjectivePlan(run, opts_.engine.fusion);
+        auto phase_scratch = std::make_shared<std::vector<sim::Cplx>>();
         run.build = [k, f](const std::vector<double> &theta) {
             circuit::Circuit c(k);
             for (int q = 0; q < k; ++q)
@@ -97,8 +101,9 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
             }
             return c;
         };
-        run.evolve = [k, table](sim::StateVector &state,
-                                const std::vector<double> &theta) {
+        run.evolve = [k, table, plan,
+                      phase_scratch](sim::StateVector &state,
+                                     const std::vector<double> &theta) {
             state.reset(0);
             constexpr double kInvSqrt2 = 0.70710678118654752440;
             for (int q = 0; q < k; ++q)
@@ -106,7 +111,8 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
                               -kInvSqrt2);
             const std::size_t layers = theta.size() / 2;
             for (std::size_t l = 0; l < layers; ++l) {
-                state.applyPhaseTable(*table, theta[2 * l]);
+                core::applyFusedObjectivePhase(state, *plan, *table,
+                                               theta[2 * l], *phase_scratch);
                 const double b = theta[2 * l + 1];
                 const sim::Cplx cc{std::cos(b), 0.0};
                 const sim::Cplx ms{0.0, -std::sin(b)};
@@ -131,20 +137,32 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
     const double plan_seconds = compile_timer.seconds();
 
     core::EngineOptions engine = opts_.engine;
+    double warm_seconds = 0.0;
     if (engine.theta0.empty()) {
         double g0 = 0.1, b0 = 0.6;
         if (opts_.warmStart) {
             // Red-QAOA-style warm start: coarse single-layer grid search.
+            // It runs on the job's scratch state and kernel sink, and its
+            // time is simulator time, like the engine's evaluations.
+            Timer warm_timer;
             double best = 0.0;
             bool first = true;
-            sim::StateVector state(k);
+            std::optional<sim::StateVector> local_state;
+            sim::StateVector &state =
+                engine.scratch ? *engine.scratch : local_state.emplace(k);
+            struct SinkGuard
+            {
+                sim::StateVector &s;
+                ~SinkGuard() { s.setCounterSink(nullptr); }
+            } sink_guard{state};
+            state.setCounterSink(engine.kernelCounters);
             for (double g : {0.05, 0.1, 0.2, 0.4}) {
                 for (double b : {0.2, 0.4, 0.6, 0.9}) {
                     double acc = 0.0;
                     for (const auto &run : runs) {
                         state.resizeScratch(run.numQubits);
                         run.evolve(state, {g, b});
-                        acc += state.expectationTable(*run.costTable);
+                        acc += core::tableExpectation(state, run);
                     }
                     if (first || acc < best) {
                         first = false;
@@ -154,6 +172,7 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
                     }
                 }
             }
+            warm_seconds = warm_timer.seconds();
         }
         for (int l = 0; l < opts_.layers; ++l) {
             engine.theta0.push_back(g0);
@@ -182,7 +201,7 @@ PenaltyQaoaSolver::solve(const model::Problem &p) const
     out.qubitsUsed = res.qubitsUsed;
     out.circuitsPerIteration = static_cast<int>(runs.size());
     out.compileSeconds = plan_seconds + res.compileSeconds;
-    out.simSeconds = res.simSeconds;
+    out.simSeconds = warm_seconds + res.simSeconds;
     out.classicalSeconds = res.classicalSeconds;
     return out;
 }

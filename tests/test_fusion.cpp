@@ -30,6 +30,9 @@
 #include "sim/executor.hpp"
 #include "sim/parallel.hpp"
 #include "sim/statevector.hpp"
+#include "solvers/cyclic.hpp"
+#include "solvers/hea.hpp"
+#include "solvers/penalty.hpp"
 
 using namespace chocoq;
 using circuit::Circuit;
@@ -453,6 +456,77 @@ TEST(ChocoQFusion, FusedSolveIsBitIdenticalOnFunctionalPath)
         ASSERT_EQ(fit->first, pit->first);
         ASSERT_EQ(std::memcmp(&fit->second, &pit->second, sizeof(double)),
                   0);
+    }
+}
+
+namespace
+{
+
+/** Same distribution bits, bestCost, iterations and evaluations. */
+void
+expectBitIdenticalOutcome(const core::SolverOutcome &got,
+                          const core::SolverOutcome &want)
+{
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.evaluations, want.evaluations);
+    ASSERT_EQ(std::memcmp(&got.bestCost, &want.bestCost, sizeof(double)),
+              0);
+    ASSERT_EQ(got.distribution.size(), want.distribution.size());
+    auto git = got.distribution.begin();
+    auto wit = want.distribution.begin();
+    for (; git != got.distribution.end(); ++git, ++wit) {
+        ASSERT_EQ(git->first, wit->first);
+        ASSERT_EQ(std::memcmp(&git->second, &wit->second, sizeof(double)),
+                  0);
+    }
+}
+
+} // namespace
+
+TEST(BaselineFusion, PenaltyAndCyclicFusedSolveIsBitIdentical)
+{
+    // Penalty and cyclic apply their objective phase and expectation
+    // through the value-compressed table when fusion is on, and through
+    // the plain table sweeps when it is off: same bits either way.
+    for (const auto scale : {problems::Scale::G1, problems::Scale::K2}) {
+        const auto p = problems::makeCase(scale, 0);
+
+        solvers::PenaltyOptions penalty;
+        penalty.engine.opt.maxIterations = 15;
+        penalty.engine.seed = 13;
+        solvers::PenaltyOptions penalty_plain = penalty;
+        penalty_plain.engine.fusion = false;
+        expectBitIdenticalOutcome(
+            solvers::PenaltyQaoaSolver(penalty).solve(p),
+            solvers::PenaltyQaoaSolver(penalty_plain).solve(p));
+
+        solvers::CyclicOptions cyclic;
+        cyclic.engine.opt.maxIterations = 15;
+        cyclic.engine.seed = 13;
+        solvers::CyclicOptions cyclic_plain = cyclic;
+        cyclic_plain.engine.fusion = false;
+        expectBitIdenticalOutcome(
+            solvers::CyclicQaoaSolver(cyclic).solve(p),
+            solvers::CyclicQaoaSolver(cyclic_plain).solve(p));
+    }
+}
+
+TEST(BaselineFusion, HeaEvolveMatchesBuiltCircuit)
+{
+    // HEA's functional path applies RZ as a diagonal gate; it must stay
+    // the unitary its build() circuit describes.
+    Rng rng(23);
+    for (const auto scale : {problems::Scale::G1, problems::Scale::K2}) {
+        const auto p = problems::makeCase(scale, 0);
+        const core::SubRun run = solvers::HeaSolver().ansatz(p);
+        std::vector<double> theta(
+            2 * static_cast<std::size_t>(run.numQubits) * 3);
+        for (auto &t : theta)
+            t = rng.uniform(-3.2, 3.2);
+        StateVector functional(run.numQubits), circuit(run.numQubits);
+        run.evolve(functional, theta);
+        sim::execute(circuit, run.build(theta));
+        expectNearState(functional.amplitudes(), circuit.amplitudes());
     }
 }
 

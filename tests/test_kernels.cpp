@@ -253,6 +253,42 @@ TEST_P(Kernels, XYAndSwapMatchNaive)
     }
 }
 
+TEST_P(Kernels, Apply1qAndDiagonal1qMatchNaiveBitwise)
+{
+    // Every target qubit, including q = 0 (the adjacent-pair stream)
+    // and q = n - 1 (one long run split across threads), up to 2^15
+    // amplitudes so the OpenMP partition runs. The run sweeps keep the
+    // naive per-pair expressions, so the bits must match exactly.
+    Rng rng(31);
+    for (const int n : {1, 2, 5, 9, 15}) {
+        const CVec psi = randomState(rng, n);
+        for (int q = 0; q < n; ++q) {
+            const Cplx m00{rng.normal(), rng.normal()};
+            const Cplx m01{rng.normal(), rng.normal()};
+            const Cplx m10{rng.normal(), rng.normal()};
+            const Cplx m11{rng.normal(), rng.normal()};
+            StateVector sv(n);
+            loadState(sv, psi);
+            CVec ref = psi;
+            sv.apply1q(q, m00, m01, m10, m11);
+            sim::naive::apply1q(ref, q, m00, m01, m10, m11);
+            ASSERT_EQ(std::memcmp(sv.amplitudes().data(), ref.data(),
+                                  ref.size() * sizeof(Cplx)),
+                      0)
+                << "apply1q n=" << n << " q=" << q;
+
+            loadState(sv, psi);
+            ref = psi;
+            sv.applyDiagonal1q(q, m00, m11);
+            sim::naive::diagonal1q(ref, q, m00, m11);
+            ASSERT_EQ(std::memcmp(sv.amplitudes().data(), ref.data(),
+                                  ref.size() * sizeof(Cplx)),
+                      0)
+                << "diagonal1q n=" << n << " q=" << q;
+        }
+    }
+}
+
 TEST_P(Kernels, Diagonal1qMatchesApply1q)
 {
     Rng rng(37);

@@ -19,6 +19,7 @@
 #include "core/qaoa.hpp"
 #include "device/device.hpp"
 #include "model/exact.hpp"
+#include "obs/roofline.hpp"
 #include "problems/suite.hpp"
 #include "solvers/cyclic.hpp"
 #include "solvers/penalty.hpp"
@@ -189,6 +190,47 @@ TEST(Penalty, WarmStartDoesNotHurtCost)
     const auto run_cold = solvers::PenaltyQaoaSolver(cold).solve(p);
     const auto run_warm = solvers::PenaltyQaoaSolver(warm).solve(p);
     EXPECT_LE(run_warm.bestCost, run_cold.bestCost + 2.0);
+}
+
+TEST(Penalty, WarmStartRunsOnTheJobsScratchAndBooks)
+{
+    // The 16-point warm-start grid is simulator work of the job: it runs
+    // on the job's scratch state, its kernels land in the job's sink and
+    // its time in simSeconds, and none of that changes the result.
+    const auto p = problems::makeCase(problems::Scale::K1, 0);
+    solvers::PenaltyOptions opts;
+    opts.layers = 2;
+    opts.freeze = 1;
+    opts.engine.opt.maxIterations = 10;
+    const auto plain = solvers::PenaltyQaoaSolver(opts).solve(p);
+
+    sim::StateVector scratch(1);
+    obs::KernelCounterSink sink;
+    solvers::PenaltyOptions booked = opts;
+    booked.engine.scratch = &scratch;
+    booked.engine.kernelCounters = &sink;
+    const auto out = solvers::PenaltyQaoaSolver(booked).solve(p);
+
+    EXPECT_EQ(out.iterations, plain.iterations);
+    EXPECT_EQ(out.evaluations, plain.evaluations);
+    EXPECT_EQ(std::memcmp(&out.bestCost, &plain.bestCost, sizeof(double)),
+              0);
+    EXPECT_EQ(out.distribution, plain.distribution);
+    EXPECT_EQ(scratch.counterSink(), nullptr);
+    EXPECT_GT(scratch.dim(), 2u);
+
+    // One objective phase per layer per evolve: the engine's
+    // evaluations and final distribution, plus 16 one-layer grid points
+    // per frozen-assignment circuit.
+    const std::uint64_t runs = out.circuitsPerIteration;
+    const std::uint64_t phases =
+        static_cast<std::uint64_t>(opts.layers)
+            * (static_cast<std::uint64_t>(out.evaluations) + runs)
+        + 16 * runs;
+    EXPECT_EQ(sink.tally(obs::KernelId::PhaseTableCompressed).calls
+                  + sink.tally(obs::KernelId::PhaseTable).calls,
+              phases);
+    EXPECT_GT(out.simSeconds, 0.0);
 }
 
 TEST(Cyclic, MixerPairsFollowConstraintChains)
