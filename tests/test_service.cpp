@@ -797,6 +797,41 @@ expectMatchesBatch(const service::Json &line,
         << r.id;
 }
 
+/** Send @p jobs over @p conns concurrent client connections (job i on
+ * connection i % conns), half-close each, and collect every result
+ * line keyed by its id. */
+std::map<std::string, std::string>
+resultsOverSockets(int port, const std::vector<service::SolveJob> &jobs,
+                   int conns)
+{
+    std::mutex mu;
+    std::map<std::string, std::string> lines; // id -> raw result line
+    std::vector<std::thread> clients;
+    for (int c = 0; c < conns; ++c) {
+        clients.emplace_back([&, c] {
+            service::JsonlClient client(port);
+            int sent = 0;
+            for (std::size_t i = static_cast<std::size_t>(c);
+                 i < jobs.size(); i += static_cast<std::size_t>(conns)) {
+                client.sendLine(service::jobToJsonRequest(jobs[i]).dump());
+                ++sent;
+            }
+            client.shutdownWrite();
+            for (int i = 0; i < sent; ++i) {
+                std::string line;
+                ASSERT_TRUE(client.readLine(line, 60000))
+                    << "conn " << c << " result " << i;
+                const auto v = service::Json::parse(line);
+                std::lock_guard<std::mutex> lock(mu);
+                lines.emplace(v.getString("id", ""), line);
+            }
+        });
+    }
+    for (auto &t : clients)
+        t.join();
+    return lines;
+}
+
 /** Raw loopback TCP connect for the wire-torture tests. @p rcvbufBytes
  * shrinks SO_RCVBUF before connect (it must be set pre-handshake to
  * bound the advertised window) so the server's send side fills fast. */
@@ -876,30 +911,18 @@ rawReadLines(int fd, int nlines, int timeout_ms, int slowPrefixBytes = 0,
 } // namespace
 
 /**
- * Both front-ends must behave identically on the wire: every socket
- * test runs against thread-per-connection (false) and the poll(2)
- * event loop (true). The bit-identity and reconciliation assertions
- * inside are the regression oracles for the event-loop rewrite.
+ * The socket front-end suite. The bit-identity and reconciliation
+ * assertions inside are the wire contract's regression oracles; every
+ * test starts from the default ServerOptions.
  */
-class SocketFrontEnd : public ::testing::TestWithParam<bool>
+class SocketFrontEnd : public ::testing::Test
 {
   protected:
-    /** Server options with the front-end mode under test applied. */
-    service::ServerOptions baseOpts() const
-    {
-        service::ServerOptions opts;
-        opts.eventLoop = GetParam();
-        return opts;
-    }
+    /** The production defaults, which each test then narrows. */
+    service::ServerOptions baseOpts() const { return {}; }
 };
 
-INSTANTIATE_TEST_SUITE_P(FrontEnds, SocketFrontEnd, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool> &info) {
-                             return info.param ? "EventLoop"
-                                               : "ThreadPerConn";
-                         });
-
-TEST_P(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
+TEST_F(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
 {
     const auto jobs = determinismSuite(); // 12 jobs, 3 structures
 
@@ -915,31 +938,7 @@ TEST_P(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
     server.start();
 
     constexpr int kConns = 4;
-    std::mutex mu;
-    std::map<std::string, std::string> lines; // id -> raw result line
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kConns; ++c) {
-        clients.emplace_back([&, c] {
-            service::JsonlClient client(server.port());
-            int sent = 0;
-            for (std::size_t i = static_cast<std::size_t>(c);
-                 i < jobs.size(); i += kConns) {
-                client.sendLine(service::jobToJsonRequest(jobs[i]).dump());
-                ++sent;
-            }
-            client.shutdownWrite();
-            for (int i = 0; i < sent; ++i) {
-                std::string line;
-                ASSERT_TRUE(client.readLine(line, 60000))
-                    << "conn " << c << " result " << i;
-                const auto v = service::Json::parse(line);
-                std::lock_guard<std::mutex> lock(mu);
-                lines.emplace(v.getString("id", ""), line);
-            }
-        });
-    }
-    for (auto &t : clients)
-        t.join();
+    const auto lines = resultsOverSockets(server.port(), jobs, kConns);
     server.drain();
 
     ASSERT_EQ(lines.size(), jobs.size());
@@ -956,7 +955,7 @@ TEST_P(SocketFrontEnd, BitIdenticalToBatchUnderConcurrentConnections)
     EXPECT_EQ(stats.rejected, 0);
 }
 
-TEST_P(SocketFrontEnd, HostileInputFailsPerLineAndKeepsTheConnection)
+TEST_F(SocketFrontEnd, HostileInputFailsPerLineAndKeepsTheConnection)
 {
     service::SolveService svc{service::ServiceOptions{}};
     auto opts = baseOpts();
@@ -995,7 +994,7 @@ TEST_P(SocketFrontEnd, HostileInputFailsPerLineAndKeepsTheConnection)
     EXPECT_EQ(server.stats().requestsAccepted, 1);
 }
 
-TEST_P(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
+TEST_F(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
 {
     // One worker, in-flight bound 1: while the slow job occupies the
     // worker, every further request on the burst must be answered with
@@ -1037,7 +1036,7 @@ TEST_P(SocketFrontEnd, OverloadAnswersRejectedInsteadOfQueueing)
     EXPECT_EQ(server.stats().rejected, 2);
 }
 
-TEST_P(SocketFrontEnd, PerConnectionRequestLimit)
+TEST_F(SocketFrontEnd, PerConnectionRequestLimit)
 {
     service::SolveService svc{service::ServiceOptions{}};
     auto opts = baseOpts();
@@ -1097,7 +1096,7 @@ TEST_P(SocketFrontEnd, PerConnectionRequestLimit)
     server.drain();
 }
 
-TEST_P(SocketFrontEnd, ConnectionCapRefusesWithARejectedLine)
+TEST_F(SocketFrontEnd, ConnectionCapRefusesWithARejectedLine)
 {
     service::SolveService svc{service::ServiceOptions{}};
     auto opts = baseOpts();
@@ -1131,7 +1130,7 @@ TEST_P(SocketFrontEnd, ConnectionCapRefusesWithARejectedLine)
     EXPECT_EQ(server.stats().connectionsRejected, 1);
 }
 
-TEST_P(SocketFrontEnd, IdleTimeoutClosesQuietConnections)
+TEST_F(SocketFrontEnd, IdleTimeoutClosesQuietConnections)
 {
     service::SolveService svc{service::ServiceOptions{}};
     auto opts = baseOpts();
@@ -1153,7 +1152,7 @@ TEST_P(SocketFrontEnd, IdleTimeoutClosesQuietConnections)
     EXPECT_EQ(server.stats().connectionsOpen, 0);
 }
 
-TEST_P(SocketFrontEnd, GracefulDrainCompletesAcceptedJobs)
+TEST_F(SocketFrontEnd, GracefulDrainCompletesAcceptedJobs)
 {
     service::ServiceOptions so;
     so.workers = 2;
@@ -1480,6 +1479,79 @@ TEST(FaultInjection, InjectedAllocFailureFailsTheJobNotTheWorker)
     EXPECT_GE(fault.counts().allocFails, 1u);
 }
 
+TEST_F(SocketFrontEnd, ConnResetFaultAnswersNothingAndBalancesTheBooks)
+{
+    // conn_reset=1: every accepted connection is reset before it is
+    // served. The client must see no response line at all, each reset
+    // must be counted once, and none may leak into the open-connection
+    // books (the reset happens before the connection is registered).
+    constexpr int kConns = 6;
+    service::FaultInjector fault(service::parseFaultSpec("conn_reset=1"));
+    service::SolveService svc{service::ServiceOptions{}};
+    auto opts = baseOpts();
+    opts.fault = &fault;
+    service::Server server(svc, opts);
+    server.start();
+
+    for (int i = 0; i < kConns; ++i) {
+        service::JsonlClient client(server.port());
+        try {
+            client.sendLine(R"({"type":"health"})");
+        } catch (const FatalError &) {
+            // The reset can land before the send: that is the fault.
+        }
+        std::string line;
+        EXPECT_FALSE(client.readLine(line, 5000))
+            << "a reset connection answered: " << line;
+    }
+    ASSERT_TRUE(waitFor(
+        [&] { return server.stats().faultConnResets == kConns; }))
+        << "resets counted: " << server.stats().faultConnResets;
+
+    server.drain();
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.faultConnResets, kConns);
+    EXPECT_EQ(stats.connectionsAccepted, 0);
+    EXPECT_EQ(stats.connectionsOpen, 0);
+    EXPECT_EQ(stats.resultsWritten, 0);
+    EXPECT_DOUBLE_EQ(
+        svc.metrics().gauge("server.connections_open").value(), 0.0);
+    EXPECT_EQ(fault.counts().connResets,
+              static_cast<std::uint64_t>(kConns));
+}
+
+TEST_F(SocketFrontEnd, ReadDelayFaultKeepsResultsBitIdenticalToBatch)
+{
+    // read_delay=1:5 pauses the shard after every socket read. A slow
+    // link may cost latency, never bits: the results must match batch.
+    const auto jobs = determinismSuite();
+    service::ServiceOptions so;
+    so.workers = 2;
+    const auto batch = service::SolveService(so).solveAll(jobs);
+
+    service::FaultInjector fault(service::parseFaultSpec("read_delay=1:5"));
+    service::SolveService svc(so);
+    auto opts = baseOpts();
+    opts.fault = &fault;
+    service::Server server(svc, opts);
+    server.start();
+
+    constexpr int kConns = 2;
+    const auto lines = resultsOverSockets(server.port(), jobs, kConns);
+    server.drain();
+
+    ASSERT_EQ(lines.size(), jobs.size());
+    for (const auto &expect : batch) {
+        ASSERT_EQ(expect.status, "ok") << expect.id;
+        const auto it = lines.find(expect.id);
+        ASSERT_NE(it, lines.end()) << expect.id;
+        expectMatchesBatch(service::Json::parse(it->second), expect);
+    }
+    EXPECT_GE(fault.counts().readDelays, static_cast<std::uint64_t>(kConns))
+        << "every connection's first read must have been delayed";
+    EXPECT_EQ(server.stats().resultsWritten, static_cast<long>(jobs.size()));
+}
+
 TEST(RequestLine, ClassifiesControlRequests)
 {
     const auto health = service::parseRequestLine(R"({"type":"health"})", 1);
@@ -1504,7 +1576,7 @@ TEST(RequestLine, ClassifiesControlRequests)
               std::string::npos);
 }
 
-TEST_P(SocketFrontEnd, CancelAndHealthControlRequests)
+TEST_F(SocketFrontEnd, CancelAndHealthControlRequests)
 {
     service::ServiceOptions so;
     so.workers = 1;
@@ -1549,7 +1621,7 @@ TEST_P(SocketFrontEnd, CancelAndHealthControlRequests)
     EXPECT_EQ(stats.jobsCancelled, 1);
 }
 
-TEST_P(SocketFrontEnd, ClientDisconnectCancelsItsJobsAndFreesTheWorker)
+TEST_F(SocketFrontEnd, ClientDisconnectCancelsItsJobsAndFreesTheWorker)
 {
     service::ServiceOptions so;
     so.workers = 1;
@@ -1581,6 +1653,49 @@ TEST_P(SocketFrontEnd, ClientDisconnectCancelsItsJobsAndFreesTheWorker)
     EXPECT_GE(server.stats().disconnectCancels, 1);
     EXPECT_EQ(server.stats().jobsCancelled, 1);
     EXPECT_EQ(svc.health().cancelledJobs, 1u);
+}
+
+TEST_F(SocketFrontEnd, DefaultsServeOverAHundredConcurrentConnections)
+{
+    // With ServerOptions{} an open connection costs a table entry, not
+    // a thread: far more than a hundred concurrently open connections
+    // must each get their probe answered, and none may be refused.
+    constexpr int kConns = 128;
+    service::SolveService svc{service::ServiceOptions{}};
+    service::Server server(svc, baseOpts());
+    server.start();
+
+    std::vector<std::unique_ptr<service::JsonlClient>> conns;
+    conns.reserve(kConns);
+    for (int i = 0; i < kConns; ++i)
+        conns.push_back(
+            std::make_unique<service::JsonlClient>(server.port()));
+    // Every connection is open at once before any of them is probed.
+    EXPECT_TRUE(waitFor([&] {
+        return server.stats().connectionsAccepted
+                   + server.stats().connectionsRejected
+               == kConns;
+    }));
+    EXPECT_EQ(server.stats().connectionsOpen, kConns);
+
+    for (auto &c : conns)
+        c->sendLine(R"({"type":"health"})");
+    for (int i = 0; i < kConns; ++i) {
+        std::string line;
+        ASSERT_TRUE(
+            conns[static_cast<std::size_t>(i)]->readLine(line, 30000))
+            << "connection " << i;
+        const auto v = service::Json::parse(line);
+        EXPECT_EQ(v.getString("type", ""), "health") << "connection " << i
+                                                     << ": " << line;
+        EXPECT_EQ(v.getString("status", ""), "ok") << line;
+    }
+    conns.clear();
+    server.drain();
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.connectionsRejected, 0);
+    EXPECT_EQ(stats.healthProbes, kConns);
+    EXPECT_EQ(stats.connectionsOpen, 0);
 }
 
 TEST(BatchStream, AnswersControlRequestsInline)
@@ -1622,7 +1737,7 @@ TEST(RequestLine, ClassifiesStatsControlRequest)
     EXPECT_EQ(stats.control, service::ControlKind::Stats);
 }
 
-TEST_P(SocketFrontEnd, StatsProbeJsonShapeOverSocket)
+TEST_F(SocketFrontEnd, StatsProbeJsonShapeOverSocket)
 {
     service::ServiceOptions so;
     so.workers = 2;
@@ -1671,7 +1786,7 @@ TEST_P(SocketFrontEnd, StatsProbeJsonShapeOverSocket)
     EXPECT_EQ(server.stats().statsProbes, 1);
 }
 
-TEST_P(SocketFrontEnd, StatsProbeNeverConsumesAnInflightSlot)
+TEST_F(SocketFrontEnd, StatsProbeNeverConsumesAnInflightSlot)
 {
     // One worker, in-flight bound 1, the worker pinned by a slow job:
     // a stats probe must still answer "ok" (like health, it bypasses
@@ -1907,12 +2022,12 @@ TEST(BatchStream, AnswersStatsInline)
 
 // ------------------------------------------------ wire torture tests
 
-TEST_P(SocketFrontEnd, WireTortureBytewiseSplitsSlowReadsAndHalfCloses)
+TEST_F(SocketFrontEnd, WireTortureBytewiseSplitsSlowReadsAndHalfCloses)
 {
     // Three hostile clients at once, each violating a different framing
     // assumption. Every line must be answered on the connection that
     // sent it — per-line errors for garbage, results for jobs, no
-    // cross-connection corruption, both front-ends.
+    // cross-connection corruption.
     service::ServiceOptions so;
     so.workers = 2;
     service::SolveService svc(so);
@@ -2004,7 +2119,7 @@ TEST_P(SocketFrontEnd, WireTortureBytewiseSplitsSlowReadsAndHalfCloses)
         << "half-closes are patient clients, never disconnects";
 }
 
-TEST_P(SocketFrontEnd, MassDisconnectCancelsExactlyOncePerConnection)
+TEST_F(SocketFrontEnd, MassDisconnectCancelsExactlyOncePerConnection)
 {
     // 200 connections submit one job each behind a pinned worker, then
     // 100 of them RST mid-flight. The disconnect-cancellation path must
@@ -2095,7 +2210,7 @@ TEST_P(SocketFrontEnd, MassDisconnectCancelsExactlyOncePerConnection)
               m.counter("jobs.completed").value());
 }
 
-// -------------------------- event-loop-only write-backpressure tests
+// ---------------------------------------- write-backpressure tests
 
 TEST(SocketServerEventLoop, SlowReaderBuffersWritesAndEventuallyDrains)
 {
@@ -2107,7 +2222,6 @@ TEST(SocketServerEventLoop, SlowReaderBuffersWritesAndEventuallyDrains)
     so.workers = 2;
     service::SolveService svc(so);
     service::ServerOptions opts;
-    opts.eventLoop = true;
     opts.sendBufferBytes = 4096;
     opts.maxInflight = 0;
     opts.sendTimeoutMs = 120000; // a slow CI box must not trip the stall
@@ -2151,14 +2265,12 @@ TEST(SocketServerEventLoop, WriteStallBreaksTheConnectionInsteadOfWedging)
 {
     // A client that stops reading entirely: once no byte has left for
     // sendTimeoutMs the loop must declare the connection broken and
-    // close it — a stalled reader costs a buffer, never a wedged server
-    // (the event-loop analogue of the SO_SNDTIMEO kill in the threaded
-    // front-end).
+    // close it — a stalled reader costs a buffer, never a wedged
+    // server.
     service::ServiceOptions so;
     so.workers = 1;
     service::SolveService svc(so);
     service::ServerOptions opts;
-    opts.eventLoop = true;
     opts.sendBufferBytes = 4096;
     opts.sendTimeoutMs = 300;
     opts.maxInflight = 0;
